@@ -122,6 +122,7 @@ func BenchmarkAblationPileup(b *testing.B) {
 				raws[i] = rawdata.Digitize(1, full.Simulate(gen.Generate()))
 			}
 			rec := reco.New(det)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := rec.Reconstruct(raws[i%len(raws)], snap); err != nil {

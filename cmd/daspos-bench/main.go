@@ -153,11 +153,15 @@ func main() {
 	}
 	log.Printf("wrote %s", *out)
 
+	// Every section runs even when an earlier one fails its gate, so one
+	// run reports every regression; the failures are listed at the end.
+	var gateFailures []string
 	if *gate {
 		if err := checkGates(rep, workers); err != nil {
-			log.Fatalf("performance gate FAILED:\n%v", err)
+			gateFailures = append(gateFailures, "pipeline:\n"+err.Error())
+		} else {
+			log.Printf("pipeline performance gate passed")
 		}
-		log.Printf("performance gate passed")
 	}
 
 	if *clusterOut != "" {
@@ -173,9 +177,21 @@ func main() {
 	}
 
 	if *queryOut != "" {
-		if err := runQueryBench(*queryOut, *short, *stamp, *gate); err != nil {
+		qrep, err := runQueryBench(*queryOut, *short, *stamp)
+		if err != nil {
 			log.Fatal(err)
 		}
+		if *gate {
+			if err := checkQueryGates(qrep); err != nil {
+				gateFailures = append(gateFailures, "query:\n"+err.Error())
+			} else {
+				log.Printf("query performance gate passed")
+			}
+		}
+	}
+
+	if len(gateFailures) > 0 {
+		log.Fatalf("performance gate FAILED in %d section(s):\n%s", len(gateFailures), strings.Join(gateFailures, "\n"))
 	}
 }
 

@@ -15,8 +15,10 @@
 package reco
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"daspos/internal/conditions"
@@ -85,6 +87,9 @@ type Reconstructor struct {
 	// Version identifies the reconstruction release; provenance records it
 	// on every output.
 	Version string
+	// trackerLayers are the detector's pixel and strip layers, inner to
+	// outer: the layers track finding seeds from and follows through.
+	trackerLayers []int
 	// touched accumulates the conditions folders resolved by the last
 	// Reconstruct call.
 	touched []string
@@ -95,7 +100,8 @@ type Reconstructor struct {
 	scrTrackerHits []hit
 	scrMuonHits    []hit
 	scrCells       []cell
-	scrByLayer     map[int][]*hit
+	scrLayers      []layerHits
+	scrCollected   []*hit
 	scrZs          []float64
 	scrIdx         []int
 	scrUsedTrack   []bool
@@ -117,7 +123,7 @@ func New(det *detector.Detector) *Reconstructor {
 
 // NewWithConfig returns a reconstructor with explicit algorithm settings.
 func NewWithConfig(det *detector.Detector, cfg Config) *Reconstructor {
-	return &Reconstructor{det: det, cfg: cfg, Version: "reco-3.2.1"}
+	return &Reconstructor{det: det, cfg: cfg, Version: "reco-3.2.1", trackerLayers: det.TrackerLayers()}
 }
 
 // TouchedFolders returns the conditions folders the last Reconstruct call
@@ -284,36 +290,30 @@ func (r *Reconstructor) unpackCells(raw *rawdata.Event, ecalScale, hcalScale flo
 // tried from several inner-layer pairs so a single missing pixel hit does
 // not kill the track.
 func (r *Reconstructor) findTracks(hits []hit) []datamodel.Track {
-	trackerLayers := r.det.TrackerLayers()
+	trackerLayers := r.trackerLayers
 	if len(trackerLayers) < 3 {
 		return nil
 	}
-	if r.scrByLayer == nil {
-		r.scrByLayer = make(map[int][]*hit)
+	layers := r.indexHits(hits)
+	if cap(r.scrCollected) < len(trackerLayers) {
+		r.scrCollected = make([]*hit, 0, len(trackerLayers))
 	}
-	byLayer := r.scrByLayer
-	for k := range byLayer {
-		byLayer[k] = byLayer[k][:0]
-	}
-	for i := range hits {
-		byLayer[hits[i].layer] = append(byLayer[hits[i].layer], &hits[i])
-	}
-	seedPairs := [][2]int{
+	seedPairs := [3][2]int{
 		{trackerLayers[0], trackerLayers[1]},
 		{trackerLayers[0], trackerLayers[2]},
 		{trackerLayers[1], trackerLayers[2]},
 	}
 	var tracks []datamodel.Track
 	for _, pair := range seedPairs {
-		for _, h1 := range byLayer[pair[0]] {
+		for _, h1 := range layers[pair[0]].bank {
 			if h1.used {
 				continue
 			}
-			for _, h2 := range byLayer[pair[1]] {
+			for _, h2 := range layers[pair[1]].bank {
 				if h2.used || h1.used {
 					continue
 				}
-				if collected, ok := r.followSeed(trackerLayers, byLayer, h1, h2); ok {
+				if collected, ok := r.followSeed(layers, h1, h2); ok {
 					if trk, ok := r.fitTrack(collected); ok {
 						tracks = append(tracks, trk)
 						for _, h := range collected {
@@ -329,9 +329,106 @@ func (r *Reconstructor) findTracks(hits []hit) []datamodel.Track {
 	return tracks
 }
 
+// layerHits is one layer's hits in the current event: in bank order for
+// the seed loops, and, for tracker layers, sorted by (φ, bank position) so
+// the follower can binary-search a φ window instead of scanning the layer.
+type layerHits struct {
+	bank  []*hit
+	byPhi []phiHit
+	// maxAbsPhi is the largest |φ| in the layer; it sizes the rounding
+	// slack of the search window.
+	maxAbsPhi float64
+}
+
+// phiHit is one entry of a layer's φ index.
+type phiHit struct {
+	phi float64 // the hit's φ wrapped into (−π, π]
+	pos int     // the hit's position in the layer's bank order
+}
+
+// indexHits files every hit under its layer in bank order and builds the
+// φ index of each tracker layer, in per-instance scratch.
+func (r *Reconstructor) indexHits(hits []hit) []layerHits {
+	if len(r.scrLayers) < len(r.det.Layers) {
+		r.scrLayers = make([]layerHits, len(r.det.Layers))
+	}
+	layers := r.scrLayers
+	for i := range layers {
+		layers[i].bank = layers[i].bank[:0]
+	}
+	for i := range hits {
+		l := &layers[hits[i].layer]
+		l.bank = append(l.bank, &hits[i])
+	}
+	for _, li := range r.trackerLayers {
+		l := &layers[li]
+		l.byPhi, l.maxAbsPhi = l.byPhi[:0], 0
+		for pos, h := range l.bank {
+			l.byPhi = append(l.byPhi, phiHit{phi: wrapPhi(h.phi), pos: pos})
+			l.maxAbsPhi = math.Max(l.maxAbsPhi, math.Abs(h.phi))
+		}
+		slices.SortFunc(l.byPhi, func(a, b phiHit) int {
+			if c := cmp.Compare(a.phi, b.phi); c != 0 {
+				return c
+			}
+			return a.pos - b.pos
+		})
+	}
+	return layers
+}
+
+// best returns the hit the layer's linear scan in bank order would pick:
+// the unused hit with the smallest |wrapPhi(φ − predPhi)| below tol and
+// |z − predZ| below zTol, the earliest in bank order on a tie. It visits
+// only the φ window [pred − w, pred + w), split across ±π when it wraps,
+// where w exceeds tol by a slack that covers the rounding of the wrapped
+// differences, so the window holds every hit the predicate accepts. The
+// predicate itself is applied unchanged.
+func (l *layerHits) best(predPhi, predZ, tol, zTol float64) *hit {
+	bestD, bestPos := tol, -1
+	pick := func(from, to int) {
+		for i := from; i < to; i++ {
+			e := l.byPhi[i]
+			h := l.bank[e.pos]
+			if h.used {
+				continue
+			}
+			d := math.Abs(wrapPhi(h.phi - predPhi))
+			if (d < bestD || d == bestD && bestPos >= 0 && e.pos < bestPos) && math.Abs(h.z-predZ) < zTol {
+				bestD, bestPos = d, e.pos
+			}
+		}
+	}
+	n := len(l.byPhi)
+	m := math.Abs(predPhi) + l.maxAbsPhi
+	if w := tol + 1e-9*(1+m*m); !(w < math.Pi) {
+		pick(0, n)
+	} else {
+		c := wrapPhi(predPhi)
+		lo, hi := c-w, c+w
+		pick(l.search(lo), l.search(hi))
+		if lo < -math.Pi {
+			pick(l.search(lo+2*math.Pi), n)
+		}
+		if hi > math.Pi {
+			pick(0, l.search(hi-2*math.Pi))
+		}
+	}
+	if bestPos < 0 {
+		return nil
+	}
+	return l.bank[bestPos]
+}
+
+// search returns the position of the first index entry with φ ≥ phi.
+func (l *layerHits) search(phi float64) int {
+	return sort.Search(len(l.byPhi), func(i int) bool { return l.byPhi[i].phi >= phi })
+}
+
 // followSeed grows a seed pair into a hit collection by predicting each
-// further layer from a running least-squares refit.
-func (r *Reconstructor) followSeed(trackerLayers []int, byLayer map[int][]*hit, h1, h2 *hit) ([]*hit, bool) {
+// further layer from a running least-squares refit. The collection lives in
+// per-instance scratch and is valid until the next call.
+func (r *Reconstructor) followSeed(layers []layerHits, h1, h2 *hit) ([]*hit, bool) {
 	dr := h2.r - h1.r
 	if dr <= 0 {
 		return nil, false
@@ -341,12 +438,17 @@ func (r *Reconstructor) followSeed(trackerLayers []int, byLayer map[int][]*hit, 
 	if math.Abs(dphi/dr) > 0.3*r.det.BField/(2000*0.8*r.cfg.MinTrackPt) {
 		return nil, false
 	}
-	collected := []*hit{h1, h2}
-	haveLayer := map[int]bool{h1.layer: true, h2.layer: true}
-	for _, li := range trackerLayers {
-		if haveLayer[li] {
+	collected := append(r.scrCollected[:0], h1, h2)
+	// Tracker layers still to visit; the seed's two are never revisited.
+	remaining := len(r.trackerLayers) - 2
+	for _, li := range r.trackerLayers {
+		if li == h1.layer || li == h2.layer {
 			continue
 		}
+		if len(collected)+remaining < r.cfg.MinLayers {
+			return nil, false // too few layers left to reach MinLayers
+		}
+		remaining--
 		phi0, k, z0, zSlope, ok := fitLine(collected)
 		if !ok {
 			return nil, false
@@ -358,20 +460,8 @@ func (r *Reconstructor) followSeed(trackerLayers []int, byLayer map[int][]*hit, 
 		// outermost collected hit.
 		outermost := collected[len(collected)-1].r
 		tol := r.cfg.SeedPhiTolerance * (1 + (l.Radius-outermost)/200)
-		var best *hit
-		bestD := tol
-		for _, h := range byLayer[li] {
-			if h.used {
-				continue
-			}
-			d := math.Abs(wrapPhi(h.phi - predPhi))
-			if d < bestD && math.Abs(h.z-predZ) < r.cfg.SeedZTolerance {
-				best, bestD = h, d
-			}
-		}
-		if best != nil {
+		if best := layers[li].best(predPhi, predZ, tol, r.cfg.SeedZTolerance); best != nil {
 			collected = append(collected, best)
-			haveLayer[li] = true
 		}
 	}
 	if len(collected) < r.cfg.MinLayers {
@@ -728,7 +818,14 @@ func qualityFromChi2(chi2 float64) float64 {
 	return q
 }
 
+// wrapPhi maps an angle into (−π, π]. An infinite angle, as an
+// unsegmented layer named in a corrupt bank decodes to, has no wrapped
+// value: it comes back NaN, which fails every window comparison, instead
+// of looping forever.
 func wrapPhi(phi float64) float64 {
+	if math.IsInf(phi, 0) {
+		return math.NaN()
+	}
 	for phi > math.Pi {
 		phi -= 2 * math.Pi
 	}

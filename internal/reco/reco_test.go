@@ -2,6 +2,7 @@ package reco
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"daspos/internal/conditions"
@@ -336,12 +337,15 @@ func BenchmarkReconstructDijet(b *testing.B) {
 
 func TestParallelStageMatchesSequential(t *testing.T) {
 	// Per-worker Reconstructors over the same geometry and snapshot must
-	// reproduce the single-instance sequential pass exactly.
+	// reproduce the single-instance sequential pass exactly. The sample
+	// alternates pileup 0 and 20, so each worker's per-event hit index is
+	// rebuilt at a very different occupancy from one event to the next.
 	c := newChain(t, 31)
-	g := generator.NewDrellYanZ(generator.DefaultConfig(31))
+	low := sampleRaws(t, c.det, generator.ProcDrellYanZ, 0, 31, 4)
+	high := sampleRaws(t, c.det, generator.ProcDrellYanZ, 20, 31, 4)
 	var raws []*rawdata.Event
-	for i := 0; i < 8; i++ {
-		raws = append(raws, rawdata.Digitize(1, c.full.SimulateSeeded(g.Generate())))
+	for i := range low {
+		raws = append(raws, low[i], high[i])
 	}
 	var want []*datamodel.Event
 	for _, raw := range raws {
@@ -360,10 +364,7 @@ func TestParallelStageMatchesSequential(t *testing.T) {
 			if err != nil || !keep {
 				t.Fatalf("worker %d event %d: keep=%v err=%v", w, i, keep, err)
 			}
-			if len(got.Tracks) != len(want[i].Tracks) ||
-				len(got.Clusters) != len(want[i].Clusters) ||
-				len(got.Candidates) != len(want[i].Candidates) ||
-				got.Missing != want[i].Missing {
+			if !reflect.DeepEqual(got, want[i]) {
 				t.Fatalf("worker %d event %d: parallel stage differs from sequential", w, i)
 			}
 		}
