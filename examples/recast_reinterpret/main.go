@@ -11,9 +11,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/http/httptest"
+	"os"
 	"time"
 
 	"daspos/internal/bridge"
@@ -43,8 +45,10 @@ func main() {
 	}
 	model := recast.ModelSpec{Process: "zprime", MassGeV: 1200, Events: 250, Seed: 21}
 
-	// Tier 1: the full-simulation back end over HTTP, with the approval
-	// workflow the paper's "closed system" requires.
+	// Tier 1: the full-simulation back end behind the RECAST front door,
+	// with the approval workflow the paper's "closed system" requires:
+	// nothing runs until the experiment approves, and approval hands the
+	// request to the front door's durable queue and workers.
 	fmt.Println("== full-simulation back end (over HTTP) ==")
 	det := detector.Standard()
 	db := conditions.NewDB()
@@ -55,7 +59,20 @@ func main() {
 		Det: det, CondDB: db, Tag: "prod", Run: 1, LuminosityPb: 20000,
 	})
 	mustSubscribe(fullSvc, record)
-	srv := httptest.NewServer(fullSvc.Handler())
+	journalDir, err := os.MkdirTemp("", "recast-journal-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(journalDir)
+	front, err := recast.NewServer(context.Background(), fullSvc, recast.ServerConfig{
+		JournalDir: journalDir, Workers: 1, AutoApprove: false,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer front.Close()
+	front.Start()
+	srv := httptest.NewServer(front.Handler())
 	defer srv.Close()
 
 	theorist := &recast.Client{BaseURL: srv.URL}
@@ -69,9 +86,16 @@ func main() {
 		log.Fatal(err)
 	}
 	t0 := time.Now()
-	done, err := experiment.ProcessRequest(req.ID)
+	done, err := theorist.Get(req.ID)
+	for err == nil && done.Status == recast.StatusApproved {
+		time.Sleep(20 * time.Millisecond)
+		done, err = theorist.Get(req.ID)
+	}
 	if err != nil {
 		log.Fatal(err)
+	}
+	if done.Status != recast.StatusDone {
+		log.Fatalf("%s ended %s: %s", done.ID, done.Status, done.Reason)
 	}
 	fullDur := time.Since(t0)
 	printResult(done.Result, fullDur)

@@ -5,8 +5,9 @@ import (
 	"go/token"
 )
 
-// Durability enforces the commit ordering that makes the checkpoint
-// ledger and the content-addressed stores crash-safe: a rename is only an
+// Durability enforces the commit ordering that makes the journals
+// (internal/journal, under the checkpoint ledger and both RECAST logs)
+// and the content-addressed stores crash-safe: a rename is only an
 // atomic commit point if the payload was fsynced first, and a journal
 // append only announces state that is already durable if the append is
 // fsynced in the same operation. The analyzer is per-function and
@@ -18,6 +19,7 @@ var Durability = &Analyzer{
 	Why:      "a crash between write and fsync loses bytes the journal already announced; the checkpoint recovery proof assumes rename commits only durable payloads",
 	Suppress: "fsync-ok",
 	Match: matchPath(
+		"internal/journal",
 		"internal/checkpoint",
 		"internal/cas",
 		"internal/recast",

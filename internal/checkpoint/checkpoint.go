@@ -17,12 +17,12 @@
 //  2. only then is the journal record describing it appended and the
 //     journal fsynced.
 //
-// Replay therefore never trusts a record whose payload could be missing,
-// and a journal line cut short by the crash (no trailing newline) is
-// dropped and truncated away on the next Open — exactly the recovery
-// discipline of the recast request journal, promoted to whole pipeline
-// runs. A malformed record in the middle of the journal, by contrast, is
-// real corruption and fails Open loudly.
+// Replay therefore never trusts a record whose payload could be missing.
+// The journal itself is an internal/journal log, shared with the RECAST
+// request and queue journals: a line cut short by the crash (no trailing
+// newline) is dropped and truncated away on the next Open, and a
+// malformed record in the middle of the journal is real corruption that
+// fails Open loudly.
 //
 // Steps are keyed by StepKey over (step name, config digest, input
 // digests), so a resumed run only skips a step when the same code
@@ -32,14 +32,14 @@
 package checkpoint
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
+
+	"daspos/internal/journal"
 )
 
 // StepState is a step's recorded lifecycle position.
@@ -112,8 +112,8 @@ func StepKey(step, configDigest string, inputDigests []string) string {
 // content-addressed object store under one checkpoint directory. Safe for
 // concurrent readers of the replayed state; appends are serialized.
 type Ledger struct {
-	dir     string
-	journal *os.File
+	dir string
+	log *journal.Log
 
 	mu    sync.Mutex
 	steps map[string]*StepInfo
@@ -143,53 +143,33 @@ func Open(dir string) (*Ledger, error) {
 		}
 	}
 
-	path := filepath.Join(dir, journalName)
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("checkpoint: reading journal: %w", err)
-	}
 	l := &Ledger{dir: dir, steps: make(map[string]*StepInfo)}
-	valid, err := l.replay(data)
+	log, err := journal.Open(filepath.Join(dir, journalName), "journal", l.apply)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	if valid < int64(len(data)) {
-		// Torn tail: cut the journal back to its last durable record so
-		// the next append does not concatenate onto a partial line.
-		if err := os.Truncate(path, valid); err != nil {
-			return nil, fmt.Errorf("checkpoint: truncating torn journal tail: %w", err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: opening journal: %w", err)
-	}
-	l.journal = f
+	l.log = log
 	return l, nil
 }
 
 // Close releases the journal handle. The ledger directory remains valid
 // for a later Open.
 func (l *Ledger) Close() error {
-	if l.journal == nil {
-		return nil
-	}
-	err := l.journal.Close()
-	l.journal = nil
-	return err
+	return l.log.Close()
 }
 
 // Dir returns the checkpoint directory.
 func (l *Ledger) Dir() string { return l.dir }
 
 // SetKill installs a fault hook invoked at every instrumented instruction
-// of the commit protocol (see the "journal.*" and "object.*" point names
-// in this file). The chaos tests arm it with faults.Killer to die at a
+// of the commit protocol: the "object.*" points in this file and the
+// journal's "journal.append", "journal.torn" and "journal.sync". The chaos tests arm it with faults.Killer to die at a
 // seeded instruction; production runs leave it nil.
 func (l *Ledger) SetKill(fn func(point string)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.kill = fn
+	l.log.SetKill(fn)
 }
 
 func (l *Ledger) killPoint(point string) {
@@ -201,38 +181,10 @@ func (l *Ledger) killPoint(point string) {
 	}
 }
 
-// replay applies journal bytes to the in-memory state and returns the
-// byte length of the valid prefix. A partial final line (no newline) is
-// tolerated as a crash tear; a malformed complete line is corruption.
-func (l *Ledger) replay(data []byte) (int64, error) {
-	var offset int64
-	lineNo := 0
-	for int(offset) < len(data) {
-		nl := bytes.IndexByte(data[offset:], '\n')
-		if nl < 0 {
-			// Torn tail — the crash interrupted the final append.
-			return offset, nil
-		}
-		lineNo++
-		line := bytes.TrimSpace(data[offset : offset+int64(nl)])
-		if len(line) > 0 {
-			var rec journalRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				return 0, fmt.Errorf("checkpoint: journal line %d corrupt: %w", lineNo, err)
-			}
-			if err := l.apply(rec, lineNo); err != nil {
-				return 0, err
-			}
-		}
-		offset += int64(nl) + 1
-	}
-	return offset, nil
-}
-
-// apply folds one replayed record into the step table.
-func (l *Ledger) apply(rec journalRecord, lineNo int) error {
+// apply folds one journal record into the step table.
+func (l *Ledger) apply(rec journalRecord) error {
 	if rec.Key == "" || rec.Step == "" {
-		return fmt.Errorf("checkpoint: journal line %d: record without step/key", lineNo)
+		return fmt.Errorf("record without step/key")
 	}
 	info := l.steps[rec.Key]
 	if info == nil {
@@ -249,46 +201,27 @@ func (l *Ledger) apply(rec journalRecord, lineNo int) error {
 		info.External = nil
 	case "artifact":
 		if rec.Artifact == nil {
-			return fmt.Errorf("checkpoint: journal line %d: artifact record without artifact", lineNo)
+			return fmt.Errorf("artifact record without artifact")
 		}
 		info.Artifacts = append(info.Artifacts, *rec.Artifact)
 	case "done":
 		info.State = StepDone
 		info.External = rec.External
 	default:
-		return fmt.Errorf("checkpoint: journal line %d: unknown kind %q", lineNo, rec.Kind)
+		return fmt.Errorf("unknown kind %q", rec.Kind)
 	}
 	return nil
 }
 
-// appendRecord durably appends one journal line: write, then fsync, then
-// (only after durability) the in-memory state update. The write is split
-// so an injected kill can model a torn record.
+// appendRecord durably appends one journal line, then (only after
+// durability) updates the in-memory state.
 func (l *Ledger) appendRecord(rec journalRecord) error {
-	if l.journal == nil {
-		return fmt.Errorf("checkpoint: ledger is closed")
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("checkpoint: encoding journal record: %w", err)
-	}
-	line = append(line, '\n')
-	l.killPoint("journal.append")
-	half := len(line) / 2
-	if _, err := l.journal.Write(line[:half]); err != nil {
-		return fmt.Errorf("checkpoint: journal append: %w", err)
-	}
-	l.killPoint("journal.torn")
-	if _, err := l.journal.Write(line[half:]); err != nil {
-		return fmt.Errorf("checkpoint: journal append: %w", err)
-	}
-	l.killPoint("journal.sync")
-	if err := l.journal.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: journal fsync: %w", err)
+	if err := l.log.Append(rec); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.apply(rec, -1)
+	return l.apply(rec)
 }
 
 // Start records that a step execution began.

@@ -1,10 +1,11 @@
 package recast
 
 import (
-	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,11 +18,11 @@ import (
 	"daspos/internal/resilience"
 )
 
-// Chaos drills for the request pipeline: with transient back-end faults
-// injected at up to 30%, every request must still reach a terminal state —
-// done after retries, or dead-lettered with its attempt history — and a
-// journal replay after a simulated crash must hand back exactly the work
-// that was in flight.
+// Chaos drills for the request pipeline behind the front door: with
+// transient back-end faults injected at up to 30%, every request must
+// still reach a terminal state — done after retries, or dead-lettered
+// with its attempt history — and a restart after a simulated crash must
+// hand back exactly the work that was in flight.
 
 // flakyStub is a cheap back end whose every Process call consults a fault
 // injector (op "process") before returning a canned result. Safe for
@@ -89,26 +90,41 @@ func submitApproved(t testing.TB, svc *Service, n int) []string {
 	return ids
 }
 
+// acceptN submits n distinct models (one tenant each) through an
+// auto-approving front door and returns the accepted IDs.
+func acceptN(t *testing.T, srv *Server, n int) []string {
+	t.Helper()
+	h := srv.Handler()
+	ids := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		w := postSubmit(t, h, fmt.Sprintf("theorist-%d", i), uint64(i), "")
+		if w.Code != http.StatusAccepted {
+			t.Fatalf("submit %d: %d %s", i, w.Code, w.Body)
+		}
+		var req Request
+		if err := json.Unmarshal(w.Body.Bytes(), &req); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, req.ID)
+	}
+	return ids
+}
+
 func TestChaosQueueEveryRequestReachesTerminalState(t *testing.T) {
 	const requests = 40
 	inj := faults.NewInjector(0x5EC457).WithErrorRate(0.3)
 	svc, _ := newStubService(t, inj)
-	ids := submitApproved(t, svc, requests)
-
-	q := NewQueueWith(context.Background(), svc, QueueConfig{Workers: 4, Policy: fastPolicy()})
-	for _, id := range ids {
-		if !q.Enqueue(id) {
-			t.Fatalf("enqueue %s refused", id)
-		}
-	}
-	q.Wait()
+	// The breaker is kept out of the way: this drill is about retry, and
+	// a tripped breaker would dead-letter requests without consulting
+	// the back end.
+	srv := openServer(t, svc, ServerConfig{Workers: 4, QueueBound: requests, AutoApprove: true,
+		Breaker: resilience.BreakerConfig{FailureThreshold: requests * 10}})
+	ids := acceptN(t, srv, requests)
+	srv.Start()
 
 	var done, failed int
 	for _, id := range ids {
-		req, err := svc.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
+		req := waitTerminal(t, svc, id)
 		switch req.Status {
 		case StatusDone:
 			done++
@@ -140,6 +156,13 @@ func TestChaosQueueEveryRequestReachesTerminalState(t *testing.T) {
 	st := inj.Stats()
 	if st.Errors == 0 {
 		t.Fatal("chaos run injected no faults — test is vacuous")
+	}
+	// Close waits for the workers, so their accounting is complete.
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Status(); got.Served != uint64(done) || got.Failed != uint64(failed) {
+		t.Fatalf("status counts served=%d failed=%d, want %d/%d", got.Served, got.Failed, done, failed)
 	}
 	t.Logf("chaos: %d done, %d dead-lettered, %d injected faults over %d ops",
 		done, failed, st.Errors, st.Ops)
@@ -205,27 +228,24 @@ func (permanentBackend) Process(context.Context, ModelSpec, *leshouches.Analysis
 }
 
 func TestQueueCancellationLeavesWorkInFlight(t *testing.T) {
-	inj := faults.NewInjector(2)
-	svc, _ := newStubService(t, inj)
-	ids := submitApproved(t, svc, 8)
-
-	// A back end that blocks until cancelled, so every picked-up job is
-	// mid-attempt when the pool dies.
-	ctx, cancel := context.WithCancel(context.Background())
-	blocking := &blockingBackend{release: ctx.Done()}
+	svc, _ := newStubService(t, nil)
+	// A back end that blocks until its context dies, so every picked-up
+	// request is mid-attempt when the server shuts down.
+	blocking := &blockingBackend{}
 	svc.backend = blocking
-
-	q := NewQueueWith(ctx, svc, QueueConfig{Workers: 2, Policy: fastPolicy()})
-	for _, id := range ids {
-		q.Enqueue(id)
-	}
+	dir := t.TempDir()
+	srv := openServer(t, svc, ServerConfig{JournalDir: dir, Workers: 2, AutoApprove: true})
+	ids := acceptN(t, srv, 8)
+	srv.Start()
 	blocking.waitStarted(2)
-	cancel()
-	results := q.Wait()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	// Every request is either still approved (in flight or never picked
-	// up) — never half-transitioned — and the queue reports the
+	// Every request is still approved (in flight or never picked up) —
+	// never half-transitioned — and the interrupted attempts record the
 	// cancellation.
+	var cancelled int
 	for _, id := range ids {
 		req, err := svc.Get(id)
 		if err != nil {
@@ -234,34 +254,40 @@ func TestQueueCancellationLeavesWorkInFlight(t *testing.T) {
 		if req.Status != StatusApproved {
 			t.Errorf("%s left in %s after cancellation, want approved", id, req.Status)
 		}
-	}
-	var cancelled int
-	for _, err := range results {
-		if errors.Is(err, context.Canceled) {
-			cancelled++
+		for _, at := range req.Attempts {
+			if strings.Contains(at.Error, context.Canceled.Error()) {
+				cancelled++
+			}
 		}
 	}
 	if cancelled == 0 {
-		t.Fatal("no job reported the cancellation")
+		t.Fatal("no interrupted attempt recorded the cancellation")
+	}
+
+	// The queue journal still owes all eight: a restart hands the
+	// abandoned claims back alongside the never-claimed work.
+	svc2, _ := newStubService(t, nil)
+	srv2 := openServer(t, svc2, ServerConfig{JournalDir: dir})
+	if st := srv2.Queue().Stats(); st.Queued != len(ids) || st.Claimed != 0 {
+		t.Fatalf("after restart: %+v, want %d queued and none claimed", st, len(ids))
 	}
 }
 
-// blockingBackend parks Process until the release channel closes, then
-// reports the cancellation as the context error would.
+// blockingBackend parks Process until its context dies, then reports
+// the context's error.
 type blockingBackend struct {
-	release <-chan struct{}
 	mu      sync.Mutex
 	started int
 }
 
 func (b *blockingBackend) Name() string { return "blocking" }
 
-func (b *blockingBackend) Process(context.Context, ModelSpec, *leshouches.AnalysisRecord) (*Result, error) {
+func (b *blockingBackend) Process(ctx context.Context, _ ModelSpec, _ *leshouches.AnalysisRecord) (*Result, error) {
 	b.mu.Lock()
 	b.started++
 	b.mu.Unlock()
-	<-b.release
-	return nil, context.Canceled
+	<-ctx.Done()
+	return nil, ctx.Err()
 }
 
 func (b *blockingBackend) waitStarted(n int) {
@@ -279,37 +305,48 @@ func (b *blockingBackend) waitStarted(n int) {
 func TestJournalRecoversInFlightWorkAfterCrash(t *testing.T) {
 	inj := faults.NewInjector(3)
 	svc, _ := newStubService(t, inj)
-	var journal bytes.Buffer
-	svc.SetJournal(&journal)
+	dir := t.TempDir()
+	srv := openServer(t, svc, ServerConfig{JournalDir: dir, AutoApprove: true})
+	ids := acceptN(t, srv, 5)
 
-	ids := submitApproved(t, svc, 5)
-	// Two complete, one dead-letters, two stay in flight — then the
-	// process "crashes" with the journal as the only survivor.
-	if _, err := svc.Process(ids[0]); err != nil {
-		t.Fatal(err)
+	// Serve by hand: two complete, one dead-letters, one is claimed when
+	// the process "crashes", and one is still queued.
+	claim := func(want string) QueueEntry {
+		t.Helper()
+		e, ok, err := srv.Queue().Claim()
+		if err != nil || !ok || e.ID != want {
+			t.Fatalf("claim = %s %v %v, want %s", e.ID, ok, err, want)
+		}
+		return e
 	}
-	if _, err := svc.Process(ids[1]); err != nil {
-		t.Fatal(err)
-	}
+	srv.handle(claim(ids[0]))
+	srv.handle(claim(ids[1]))
 	inj.FailNext("process", 10)
-	if _, err := svc.ProcessWithPolicy(context.Background(), ids[2], fastPolicy()); err == nil {
-		t.Fatal("expected dead letter")
+	srv.handle(claim(ids[2]))
+	claim(ids[3])
+	if !srv.Status().JournalOK {
+		t.Fatal("journal append failed before the crash")
 	}
-	if err := svc.JournalErr(); err != nil {
+	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Crash-truncated tail: the final line is cut mid-write.
-	data := journal.Bytes()
-	truncated := append(append([]byte(nil), data...), []byte(`{"id":"req-0000`)...)
+	// Crash-truncated tail: the final request record is cut mid-write.
+	f, err := os.OpenFile(filepath.Join(dir, requestJournalName), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"id":"req-0000`); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	restored, _ := newStubService(t, faults.NewInjector(4))
-	inflight, err := restored.ReplayJournal(bytes.NewReader(truncated))
-	if err != nil {
-		t.Fatalf("replay rejected a crash-truncated journal: %v", err)
-	}
-	if len(inflight) != 2 || inflight[0] != ids[3] || inflight[1] != ids[4] {
-		t.Fatalf("inflight = %v, want [%s %s]", inflight, ids[3], ids[4])
+	srv2 := openServer(t, restored, ServerConfig{JournalDir: dir, AutoApprove: true})
+	if st := srv2.Queue().Stats(); st.Queued != 2 || st.Claimed != 0 {
+		t.Fatalf("recovered queue = %+v, want the two in-flight requests queued", st)
 	}
 
 	// Terminal states and histories survived.
@@ -330,20 +367,10 @@ func TestJournalRecoversInFlightWorkAfterCrash(t *testing.T) {
 		t.Fatalf("dead letter lost history: status=%s attempts=%d", dead.Status, len(dead.Attempts))
 	}
 
-	// The recovered in-flight work re-enqueues and completes.
-	q := NewQueueWith(context.Background(), restored, QueueConfig{Workers: 2, Policy: fastPolicy()})
-	for _, id := range inflight {
-		if !q.Enqueue(id) {
-			t.Fatalf("re-enqueue %s refused", id)
-		}
-	}
-	q.Wait()
-	for _, id := range inflight {
-		req, err := restored.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if req.Status != StatusDone {
+	// The recovered in-flight work completes.
+	srv2.Start()
+	for _, id := range ids[3:] {
+		if req := waitTerminal(t, restored, id); req.Status != StatusDone {
 			t.Fatalf("recovered %s ended %s, want done", id, req.Status)
 		}
 	}
@@ -353,25 +380,8 @@ func TestJournalRecoversInFlightWorkAfterCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range ids {
-		if fresh.ID == id {
-			t.Fatalf("post-replay submission reused ID %s", id)
-		}
-	}
-}
-
-func TestReplayJournalRejectsMidStreamCorruption(t *testing.T) {
-	svc, _ := newStubService(t, nil)
-	var journal bytes.Buffer
-	svc.SetJournal(&journal)
-	submitApproved(t, svc, 2)
-
-	lines := strings.SplitAfter(journal.String(), "\n")
-	// Corrupt a line that is NOT the last — real damage, not a crash tail.
-	corrupted := "{broken json\n" + strings.Join(lines[1:], "")
-	restored, _ := newStubService(t, nil)
-	if _, err := restored.ReplayJournal(strings.NewReader(corrupted)); err == nil {
-		t.Fatal("mid-stream corruption accepted")
+	if fresh.ID != "req-000006" {
+		t.Fatalf("post-replay submission got %s, want req-000006", fresh.ID)
 	}
 }
 
@@ -402,57 +412,4 @@ func BenchmarkRecastRetryOverhead(b *testing.B) {
 			}
 		}
 	})
-}
-
-func TestReplayJournalDropsTornFinalRecord(t *testing.T) {
-	// Unlike the synthetic partial line in the crash test above, this tears
-	// the journal's real final record — the tail a crash mid-append leaves —
-	// with the same fault primitive the checkpoint crash-storm uses. Replay
-	// must drop the torn record, reverting that request to its previous
-	// journaled state, and keep everything before it.
-	svc, _ := newStubService(t, nil)
-	var journal bytes.Buffer
-	svc.SetJournal(&journal)
-	ids := submitApproved(t, svc, 3)
-	if _, err := svc.Process(ids[0]); err != nil {
-		t.Fatal(err)
-	}
-	// The final record is ids[0]'s "done" snapshot. Tear it mid-write.
-	path := filepath.Join(t.TempDir(), "journal.log")
-	if err := os.WriteFile(path, journal.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := faults.TearFinalRecord(path); err != nil {
-		t.Fatal(err)
-	}
-	torn, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(torn) >= journal.Len() {
-		t.Fatal("tear removed nothing")
-	}
-
-	restored, _ := newStubService(t, nil)
-	inflight, err := restored.ReplayJournal(bytes.NewReader(torn))
-	if err != nil {
-		t.Fatalf("replay rejected a torn final record: %v", err)
-	}
-	// ids[0] reverted to its last intact snapshot (approved), so all three
-	// requests are back in flight — losing the torn completion is safe
-	// because re-processing is idempotent; losing earlier records is not.
-	if len(inflight) != 3 {
-		t.Fatalf("inflight = %v, want all three requests", inflight)
-	}
-	req, err := restored.Get(ids[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.Status != StatusApproved {
-		t.Fatalf("torn completion applied: status=%s, want approved", req.Status)
-	}
-	// The survivor replays onward: reprocessing completes normally.
-	if _, err := restored.Process(ids[0]); err != nil {
-		t.Fatal(err)
-	}
 }

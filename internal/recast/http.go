@@ -14,14 +14,14 @@ import (
 	"daspos/internal/resilience"
 )
 
-// The HTTP front end. Routes:
+// The HTTP front end, served by Server.Handler. Routes:
 //
 //	GET  /analyses                  public catalogue
 //	POST /requests                  submit {analysis, requester, motivation, model}
 //	GET  /requests/{id}             request status and (when done) result
-//	POST /requests/{id}/approve     experiment role
+//	GET  /status                    admission and queue census
+//	POST /requests/{id}/approve     experiment role; queues the work
 //	POST /requests/{id}/reject      experiment role, body {reason}
-//	POST /requests/{id}/process     experiment role; runs the back end
 //
 // Experiment-internal routes require the header "X-Recast-Role: experiment"
 // — a stand-in for the experiment's real authentication, keeping the
@@ -32,18 +32,6 @@ const (
 	roleHeader     = "X-Recast-Role"
 	roleExperiment = "experiment"
 )
-
-// Handler returns the front end as an http.Handler.
-func (s *Service) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /analyses", s.handleAnalyses)
-	mux.HandleFunc("POST /requests", s.handleSubmit)
-	mux.HandleFunc("GET /requests/{id}", s.handleGet)
-	mux.HandleFunc("POST /requests/{id}/approve", s.experimentOnly(s.handleApprove))
-	mux.HandleFunc("POST /requests/{id}/reject", s.experimentOnly(s.handleReject))
-	mux.HandleFunc("POST /requests/{id}/process", s.experimentOnly(s.handleProcess))
-	return mux
-}
 
 func (s *Service) experimentOnly(next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -79,38 +67,12 @@ type submitBody struct {
 	Model      ModelSpec `json:"model"`
 }
 
-func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var body submitBody
-	// MaxBytesReader (not a bare LimitReader) closes the connection on
-	// an oversized body, so a tenant cannot stream an unbounded payload
-	// into the decoder and keep the connection serviceable.
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&body); err != nil {
-		httpError(w, http.StatusBadRequest, "malformed request body: "+err.Error())
-		return
-	}
-	req, err := s.Submit(body.Analysis, body.Requester, body.Motivation, body.Model)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusCreated, req)
-}
-
 func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
 	req, err := s.Get(r.PathValue("id"))
 	if err != nil {
 		httpError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, req)
-}
-
-func (s *Service) handleApprove(w http.ResponseWriter, r *http.Request) {
-	if err := s.Approve(r.PathValue("id")); err != nil {
-		httpError(w, statusFor(err), err.Error())
-		return
-	}
-	req, _ := s.Get(r.PathValue("id"))
 	writeJSON(w, http.StatusOK, req)
 }
 
@@ -124,21 +86,6 @@ func (s *Service) handleReject(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req, _ := s.Get(r.PathValue("id"))
-	writeJSON(w, http.StatusOK, req)
-}
-
-func (s *Service) handleProcess(w http.ResponseWriter, r *http.Request) {
-	req, err := s.Process(r.PathValue("id"))
-	if err != nil {
-		// A failed back end still updated the request; report both.
-		code := statusFor(err)
-		if req != nil {
-			writeJSON(w, code, req)
-			return
-		}
-		httpError(w, code, err.Error())
-		return
-	}
 	writeJSON(w, http.StatusOK, req)
 }
 
@@ -321,9 +268,6 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body, out inte
 		}
 		if json.Unmarshal(data, &e) == nil && e.Error != "" {
 			herr.Msg = fmt.Sprintf("%s %s: %s", method, path, e.Error)
-		} else if out != nil {
-			// A process failure returns the request body with failed status.
-			_ = json.Unmarshal(data, out)
 		}
 		return herr.classify()
 	}
@@ -397,19 +341,4 @@ func (c *Client) Reject(id, reason string) error {
 // RejectCtx is Reject under a caller-supplied context.
 func (c *Client) RejectCtx(ctx context.Context, id, reason string) error {
 	return c.do(ctx, http.MethodPost, "/requests/"+id+"/reject", map[string]string{"reason": reason}, nil)
-}
-
-// ProcessRequest triggers back-end processing (experiment role) and
-// returns the completed request.
-func (c *Client) ProcessRequest(id string) (*Request, error) {
-	return c.ProcessRequestCtx(context.Background(), id)
-}
-
-// ProcessRequestCtx is ProcessRequest under a caller-supplied context.
-func (c *Client) ProcessRequestCtx(ctx context.Context, id string) (*Request, error) {
-	var out Request
-	if err := c.do(ctx, http.MethodPost, "/requests/"+id+"/process", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
 }

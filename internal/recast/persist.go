@@ -1,64 +1,96 @@
 package recast
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
-	"sort"
+	"path/filepath"
 	"strconv"
 	"strings"
+
+	"daspos/internal/journal"
 )
 
-// Request-ledger persistence: the service's archival record. Requests,
-// approvals, rejections, and results survive a restart; subscriptions are
-// code-backed (the experiment re-registers its preserved analyses at
-// startup), so only the ledger serializes.
+// The request journal (requests.log): one snapshot of a request per
+// mutation — submit, approve, reject, attempt, terminal transition — on
+// an internal/journal log. The service owns only what a snapshot means:
+// the latest snapshot of each ID wins, every snapshot must carry an ID
+// and a known status, and the ID sequence resumes after the highest ID
+// replayed. Subscriptions are code-backed (the experiment re-registers
+// its preserved analyses at startup), so only requests are journaled.
 
-// DumpRequests writes the full request ledger as JSON.
-func (s *Service) DumpRequests(w io.Writer) error {
-	reqs := s.List()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(reqs)
+const requestJournalName = "requests.log"
+
+// openJournal replays dir/requests.log into an empty service and
+// attaches it, so every later mutation appends one fsynced snapshot.
+// Requests that were approved but unfinished come back approved: the
+// front door's reconciliation re-enqueues them.
+func (s *Service) openJournal(dir string) error {
+	s.mu.Lock()
+	held := len(s.requests)
+	s.mu.Unlock()
+	if held > 0 {
+		return fmt.Errorf("recast: service already holds %d requests; the request journal is the only source of them", held)
+	}
+	log, err := journal.Open(filepath.Join(dir, requestJournalName), "requests", s.replayRequest)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err != nil {
+		// Leave the service as empty as it came, not half-replayed.
+		s.requests = make(map[string]*Request)
+		s.nextID = 0
+		return fmt.Errorf("recast: request %w", err)
+	}
+	s.log, s.logErr = log, nil
+	return nil
 }
 
-// LoadRequests restores a dumped ledger into an empty service. It fails if
-// the service already holds requests (the ledger is the source of truth,
-// not a merge input), if IDs collide, or if any request references an
-// unknown status.
-func (s *Service) LoadRequests(r io.Reader) error {
-	var reqs []*Request
-	if err := json.NewDecoder(r).Decode(&reqs); err != nil {
-		return fmt.Errorf("recast: parsing request ledger: %w", err)
+// replayRequest folds one journaled snapshot into the request table.
+func (s *Service) replayRequest(req Request) error {
+	if req.ID == "" {
+		return fmt.Errorf("request without ID")
+	}
+	switch req.Status {
+	case StatusSubmitted, StatusApproved, StatusRejected, StatusDone, StatusFailed:
+	default:
+		return fmt.Errorf("request %s has unknown status %q", req.ID, req.Status)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.requests) > 0 {
-		return fmt.Errorf("recast: service already holds %d requests", len(s.requests))
+	s.requests[req.ID] = &req
+	if n, ok := parseRequestID(req.ID); ok && n > s.nextID {
+		s.nextID = n
 	}
-	maxID := 0
-	seen := make(map[string]bool, len(reqs))
-	for _, req := range reqs {
-		if req.ID == "" || seen[req.ID] {
-			return fmt.Errorf("recast: ledger has missing or duplicate ID %q", req.ID)
-		}
-		switch req.Status {
-		case StatusSubmitted, StatusApproved, StatusRejected, StatusDone, StatusFailed:
-		default:
-			return fmt.Errorf("recast: ledger request %s has unknown status %q", req.ID, req.Status)
-		}
-		seen[req.ID] = true
-		if n, ok := parseRequestID(req.ID); ok && n > maxID {
-			maxID = n
-		}
-	}
-	for _, req := range reqs {
-		cp := cloneRequest(req)
-		s.requests[cp.ID] = cp
-	}
-	s.nextID = maxID
 	return nil
+}
+
+// closeJournal detaches and closes the request journal.
+func (s *Service) closeJournal() error {
+	s.mu.Lock()
+	log := s.log
+	s.log = nil
+	s.mu.Unlock()
+	if log == nil {
+		return nil
+	}
+	return log.Close()
+}
+
+// appendJournalLocked journals one request mutation; callers hold s.mu.
+// The mutation has already happened in memory, so a failed append is
+// kept (first failure wins) for the status endpoint rather than returned.
+func (s *Service) appendJournalLocked(req *Request) {
+	if s.log == nil {
+		return
+	}
+	if err := s.log.Append(req); err != nil && s.logErr == nil {
+		s.logErr = err
+	}
+}
+
+// journalErr returns the first request-journal append failure.
+func (s *Service) journalErr() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.logErr
 }
 
 // parseRequestID extracts the sequence number from "req-NNNNNN".
@@ -72,115 +104,4 @@ func parseRequestID(id string) (int, bool) {
 		return 0, false
 	}
 	return n, true
-}
-
-// Crash-safe journaling. The ledger dump above is a checkpoint: it
-// captures the service at one instant, and everything after is lost with
-// the process. The journal closes that gap — an append-only stream of
-// request snapshots, one JSON line per mutation (submit, approve, reject,
-// attempt, terminal transition). Replay is last-write-wins per request, so
-// a journal truncated mid-line by a crash still restores every completed
-// write, and requests that were approved but unfinished when the worker
-// pool died come back as in-flight work to re-enqueue.
-
-// AppendJournal writes one request snapshot as a journal line.
-func AppendJournal(w io.Writer, req *Request) error {
-	line, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	line = append(line, '\n')
-	_, err = w.Write(line)
-	return err
-}
-
-// SetJournal installs an append-only journal sink: every subsequent
-// request mutation appends one snapshot line. Pass nil to stop journaling.
-// The caller owns the writer's durability (flushing, fsync).
-func (s *Service) SetJournal(w io.Writer) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.journal = w
-	s.journalErr = nil
-}
-
-// JournalErr returns the first journal write failure since SetJournal, if
-// any. Journaling is best-effort on the hot path; operators poll this.
-func (s *Service) JournalErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.journalErr
-}
-
-// appendJournalLocked journals one request mutation; callers hold s.mu.
-func (s *Service) appendJournalLocked(req *Request) {
-	if s.journal == nil {
-		return
-	}
-	if err := AppendJournal(s.journal, req); err != nil && s.journalErr == nil {
-		s.journalErr = err
-	}
-}
-
-// ReplayJournal restores a journal into an empty service and returns the
-// IDs that were still in flight (approved, not yet terminal) when the
-// journal ended — the work a restarted pool re-enqueues. A final line cut
-// short by the crash is tolerated; any other malformed input is an error.
-func (s *Service) ReplayJournal(r io.Reader) (inflight []string, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.requests) > 0 {
-		return nil, fmt.Errorf("recast: service already holds %d requests", len(s.requests))
-	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	latest := make(map[string]*Request)
-	var lineNo int
-	var pendingErr error
-	for sc.Scan() {
-		lineNo++
-		if pendingErr != nil {
-			// A malformed line followed by more data is real corruption,
-			// not a crash-truncated tail.
-			return nil, pendingErr
-		}
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var req Request
-		if jerr := json.Unmarshal([]byte(line), &req); jerr != nil {
-			pendingErr = fmt.Errorf("recast: journal line %d: %w", lineNo, jerr)
-			continue
-		}
-		if req.ID == "" {
-			return nil, fmt.Errorf("recast: journal line %d: request without ID", lineNo)
-		}
-		switch req.Status {
-		case StatusSubmitted, StatusApproved, StatusRejected, StatusDone, StatusFailed:
-		default:
-			return nil, fmt.Errorf("recast: journal line %d: unknown status %q", lineNo, req.Status)
-		}
-		latest[req.ID] = &req
-	}
-	if serr := sc.Err(); serr != nil {
-		return nil, fmt.Errorf("recast: reading journal: %w", serr)
-	}
-	maxID := 0
-	ids := make([]string, 0, len(latest))
-	for id, req := range latest {
-		s.requests[id] = cloneRequest(req)
-		if n, ok := parseRequestID(id); ok && n > maxID {
-			maxID = n
-		}
-		ids = append(ids, id)
-	}
-	s.nextID = maxID
-	sort.Strings(ids)
-	for _, id := range ids {
-		if s.requests[id].Status == StatusApproved {
-			inflight = append(inflight, id)
-		}
-	}
-	return inflight, nil
 }

@@ -1,7 +1,6 @@
 package recast
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,15 +8,17 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"daspos/internal/journal"
 )
 
 // PQueue is the crash-safe multi-tenant work queue behind the RECAST
-// front door. Accepted work lives in an append-only journal with the
-// same durability discipline as the checkpoint ledger: every mutation
-// (enqueue, claim, complete) is one fsynced JSON line, a crash-torn
-// final line is dropped and truncated away on reopen, and claimed-but-
-// unfinished entries are handed back to the queue on recovery — an
-// accepted request is never lost to a process death.
+// front door. Accepted work lives in an internal/journal log, the same
+// one under the checkpoint ledger: every mutation (enqueue, claim,
+// complete) is one fsynced JSON line, a crash-torn final line is dropped
+// and truncated away on reopen, and claimed-but-unfinished entries are
+// handed back to the queue on recovery — an accepted request is never
+// lost to a process death.
 //
 // Scheduling is weighted fair queuing over tenants: each tenant carries
 // a virtual time that advances by 1/weight per claim, and Claim always
@@ -25,9 +26,8 @@ import (
 // name). A tenant that floods the queue only queues behind itself;
 // everyone else's share is untouched.
 type PQueue struct {
-	ctx     context.Context
-	dir     string
-	journal *os.File
+	ctx context.Context
+	log *journal.Log
 
 	mu      sync.Mutex
 	entries map[string]*QueueEntry
@@ -36,7 +36,6 @@ type PQueue struct {
 	vtime   map[string]float64
 	weights map[string]float64
 	seq     uint64
-	kill    func(point string)
 
 	// ready pulses when work becomes claimable; workers select on it.
 	ready chan struct{}
@@ -98,14 +97,8 @@ func OpenPQueue(ctx context.Context, dir string, opt PQueueOptions) (*PQueue, er
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("recast: creating queue dir: %w", err)
 	}
-	path := filepath.Join(dir, queueJournalName)
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("recast: reading queue journal: %w", err)
-	}
 	q := &PQueue{
 		ctx:     ctx,
-		dir:     dir,
 		entries: make(map[string]*QueueEntry),
 		pending: make(map[string][]string),
 		vtime:   make(map[string]float64),
@@ -117,25 +110,16 @@ func OpenPQueue(ctx context.Context, dir string, opt PQueueOptions) (*PQueue, er
 			q.weights[t] = w
 		}
 	}
-	valid, err := q.replay(data)
+	log, err := journal.Open(filepath.Join(dir, queueJournalName), "queue", q.applyLocked)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("recast: queue %w", err)
 	}
-	if valid < int64(len(data)) {
-		if err := os.Truncate(path, valid); err != nil {
-			return nil, fmt.Errorf("recast: truncating torn queue journal: %w", err)
-		}
-	}
+	q.log = log
 	// Orphaned claims: the worker died with the process. Hand the work
 	// back, preserving tenant FIFO order by seq. In-memory only — the
 	// journal already proves the entry was accepted, and the next claim
 	// re-journals its own line.
 	q.requeueOrphansLocked()
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("recast: opening queue journal: %w", err)
-	}
-	q.journal = f
 	for _, ids := range q.pending {
 		if len(ids) > 0 {
 			q.signalLocked()
@@ -148,20 +132,13 @@ func OpenPQueue(ctx context.Context, dir string, opt PQueueOptions) (*PQueue, er
 // Close releases the journal handle; the directory stays valid for a
 // later OpenPQueue.
 func (q *PQueue) Close() error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.journal == nil {
-		return nil
-	}
-	err := q.journal.Close() //daspos:lock-ok — q.mu excludes in-flight appendLocked writers while the handle dies
-	q.journal = nil
-	return err
+	return q.log.Close()
 }
 
 // JournalPath returns the journal file location — exposed for the chaos
 // tests that tear its final record.
 func (q *PQueue) JournalPath() string {
-	return filepath.Join(q.dir, queueJournalName)
+	return q.log.Path()
 }
 
 // SetKill installs the fault hook invoked at each instrumented
@@ -169,51 +146,16 @@ func (q *PQueue) JournalPath() string {
 // "queue.sync"). Chaos tests arm it with faults.Killer; production
 // leaves it nil.
 func (q *PQueue) SetKill(fn func(point string)) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.kill = fn
-}
-
-func (q *PQueue) killPoint(point string) {
-	if q.kill != nil {
-		q.kill(point)
-	}
-}
-
-// replay folds journal bytes into memory and returns the byte length of
-// the valid prefix (a partial final line is a crash tear; a malformed
-// complete line is corruption).
-func (q *PQueue) replay(data []byte) (int64, error) {
-	var offset int64
-	lineNo := 0
-	for int(offset) < len(data) {
-		nl := bytes.IndexByte(data[offset:], '\n')
-		if nl < 0 {
-			return offset, nil
-		}
-		lineNo++
-		line := bytes.TrimSpace(data[offset : offset+int64(nl)])
-		if len(line) > 0 {
-			var rec queueRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				return 0, fmt.Errorf("recast: queue journal line %d corrupt: %w", lineNo, err)
-			}
-			if err := q.applyLocked(rec, lineNo); err != nil {
-				return 0, err
-			}
-		}
-		offset += int64(nl) + 1
-	}
-	return offset, nil
+	q.log.SetKill(fn)
 }
 
 // applyLocked folds one record into the state tables. Callers hold mu
 // (or, during Open, have exclusive access).
-func (q *PQueue) applyLocked(rec queueRecord, lineNo int) error {
+func (q *PQueue) applyLocked(rec queueRecord) error {
 	switch rec.Op {
 	case "enqueue":
 		if rec.Entry == nil || rec.Entry.ID == "" {
-			return fmt.Errorf("recast: queue journal line %d: enqueue without entry", lineNo)
+			return fmt.Errorf("enqueue without entry")
 		}
 		e := *rec.Entry
 		e.State = EntryQueued
@@ -225,7 +167,7 @@ func (q *PQueue) applyLocked(rec queueRecord, lineNo int) error {
 	case "claim":
 		e, ok := q.entries[rec.ID]
 		if !ok {
-			return fmt.Errorf("recast: queue journal line %d: claim of unknown entry %s", lineNo, rec.ID)
+			return fmt.Errorf("claim of unknown entry %s", rec.ID)
 		}
 		q.removePendingLocked(e)
 		// A repeated claim line means a crash orphaned the first claim
@@ -238,13 +180,13 @@ func (q *PQueue) applyLocked(rec queueRecord, lineNo int) error {
 	case "complete":
 		e, ok := q.entries[rec.ID]
 		if !ok {
-			return fmt.Errorf("recast: queue journal line %d: complete of unknown entry %s", lineNo, rec.ID)
+			return fmt.Errorf("complete of unknown entry %s", rec.ID)
 		}
 		q.removePendingLocked(e)
 		e.State = rec.State
 		e.DedupOf = rec.DedupOf
 	default:
-		return fmt.Errorf("recast: queue journal line %d: unknown op %q", lineNo, rec.Op)
+		return fmt.Errorf("unknown op %q", rec.Op)
 	}
 	return nil
 }
@@ -295,32 +237,13 @@ func (q *PQueue) requeueOrphansLocked() {
 	}
 }
 
-// appendLocked durably appends one journal line: write (split, so an
-// injected kill can model a torn record), fsync, then the in-memory
-// update — state never runs ahead of the disk.
+// appendLocked durably appends one journal line, then updates memory —
+// state never runs ahead of the disk.
 func (q *PQueue) appendLocked(rec queueRecord) error {
-	if q.journal == nil {
-		return fmt.Errorf("recast: queue is closed")
+	if err := q.log.Append(rec); err != nil {
+		return fmt.Errorf("recast: queue %w", err)
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("recast: encoding queue record: %w", err)
-	}
-	line = append(line, '\n')
-	q.killPoint("queue.append")
-	half := len(line) / 2
-	if _, err := q.journal.Write(line[:half]); err != nil {
-		return fmt.Errorf("recast: queue journal append: %w", err)
-	}
-	q.killPoint("queue.torn")
-	if _, err := q.journal.Write(line[half:]); err != nil {
-		return fmt.Errorf("recast: queue journal append: %w", err)
-	}
-	q.killPoint("queue.sync")
-	if err := q.journal.Sync(); err != nil {
-		return fmt.Errorf("recast: queue journal fsync: %w", err)
-	}
-	return q.applyLocked(rec, -1)
+	return q.applyLocked(rec)
 }
 
 // Enqueue accepts one unit of work. Idempotent per ID: re-enqueueing an

@@ -31,6 +31,7 @@ import (
 	"daspos/internal/detector"
 	"daspos/internal/eventflow"
 	"daspos/internal/generator"
+	"daspos/internal/journal"
 	"daspos/internal/leshouches"
 	"daspos/internal/rawdata"
 	"daspos/internal/reco"
@@ -227,10 +228,10 @@ type Service struct {
 	subs     map[string]Subscription
 	requests map[string]*Request
 	nextID   int
-	// journal, when set, receives an append-only record of every request
-	// mutation (see persist.go); journalErr keeps the first write failure.
-	journal    io.Writer
-	journalErr error
+	// log, when attached by the front door, receives a snapshot of every
+	// request mutation (see persist.go); logErr keeps the first failure.
+	log    *journal.Log
+	logErr error
 }
 
 // NewService returns a service over the given back end.
@@ -415,9 +416,9 @@ func (s *Service) finish(id string, res *Result, err error) (*Request, error) {
 }
 
 // Process runs the back end once for an approved request and stores the
-// result; any failure is terminal. Processing is synchronous; the HTTP
-// layer exposes it behind the experiment role, and the Queue type runs it
-// from workers (with a retry policy — see ProcessWithPolicy).
+// result; any failure is terminal. Processing is synchronous — the
+// in-process path of MassScan; the front door's workers run requests
+// with a retry policy instead (see ProcessWithPolicy).
 func (s *Service) Process(id string) (*Request, error) {
 	res, err := s.processOnce(context.Background(), id)
 	if err != nil && gateError(err) {

@@ -1,9 +1,12 @@
 package recast
 
 import (
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"daspos/internal/conditions"
 	"daspos/internal/datamodel"
@@ -192,13 +195,33 @@ func TestFullSimAcceptanceScalesWithMass(t *testing.T) {
 	}
 }
 
-func TestHTTPRoundTrip(t *testing.T) {
-	svc := newFullSimService(t)
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
+// waitDone polls a request over HTTP until the front door's workers
+// finish it — the theorist's view of the lifecycle.
+func waitDone(t *testing.T, c *Client, id string) *Request {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		req, err := c.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if req.Status == StatusDone || req.Status == StatusFailed {
+			return req
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("request %s never finished", id)
+	return nil
+}
 
-	theorist := &Client{BaseURL: srv.URL}
-	experiment := &Client{BaseURL: srv.URL, Experiment: true}
+func TestHTTPRoundTrip(t *testing.T) {
+	srv := openServer(t, newFullSimService(t), ServerConfig{Workers: 1})
+	srv.Start()
+	hts := httptest.NewServer(srv.Handler())
+	defer hts.Close()
+
+	theorist := &Client{BaseURL: hts.URL}
+	experiment := &Client{BaseURL: hts.URL, Experiment: true}
 
 	infos, err := theorist.Analyses()
 	if err != nil || len(infos) != 1 {
@@ -208,6 +231,9 @@ func TestHTTPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if req.Status != StatusSubmitted {
+		t.Fatalf("submitted request is %s, want it waiting for approval", req.Status)
+	}
 	// The requester cannot approve: the closed-system boundary.
 	if err := theorist.Approve(req.ID); err == nil || !strings.Contains(err.Error(), "experiment role") {
 		t.Fatalf("role gate breached: %v", err)
@@ -215,74 +241,80 @@ func TestHTTPRoundTrip(t *testing.T) {
 	if err := experiment.Approve(req.ID); err != nil {
 		t.Fatal(err)
 	}
-	done, err := experiment.ProcessRequest(req.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done.Status != StatusDone || done.Result == nil {
-		t.Fatalf("done: %+v", done)
-	}
 	// The theorist polls and sees only numbers.
-	polled, err := theorist.Get(req.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if polled.Result.Acceptance != done.Result.Acceptance {
-		t.Fatal("result mismatch between poll and process")
+	done := waitDone(t, theorist, req.ID)
+	if done.Status != StatusDone || done.Result == nil || done.Result.BackEnd != "fullsim" {
+		t.Fatalf("done: %+v", done)
 	}
 }
 
 func TestHTTPErrors(t *testing.T) {
-	svc := newFullSimService(t)
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-	c := &Client{BaseURL: srv.URL, Experiment: true}
+	srv := openServer(t, newFullSimService(t), ServerConfig{})
+	hts := httptest.NewServer(srv.Handler())
+	defer hts.Close()
+	c := &Client{BaseURL: hts.URL, Experiment: true}
 	if _, err := c.Get("req-000042"); err == nil {
 		t.Fatal("phantom request fetched")
 	}
 	if err := c.Approve("req-000042"); err == nil {
 		t.Fatal("phantom approval")
 	}
+	if err := c.Reject("req-000042", "no"); err == nil {
+		t.Fatal("phantom rejection")
+	}
 	if _, err := c.Submit("GHOST", "x", "", validModel()); err == nil {
 		t.Fatal("unsubscribed submit accepted")
 	}
-	if _, err := c.ProcessRequest("req-000042"); err == nil {
-		t.Fatal("phantom process")
+	// The experiment cannot run the back end by hand: only the workers
+	// process, so every run goes through the durable queue.
+	resp, err := http.Post(hts.URL+"/requests/req-000001/process", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /process answered %d, want 404", resp.StatusCode)
 	}
 }
 
 func TestQueueProcessesApprovedRequests(t *testing.T) {
 	svc := newFullSimService(t)
-	q := NewQueue(svc, 2)
+	srv := openServer(t, svc, ServerConfig{Workers: 2})
+	srv.Start()
+	h := srv.Handler()
 	var ids []string
 	for i := 0; i < 4; i++ {
-		m := validModel()
-		m.Seed = uint64(i)
-		m.Events = 15
-		req, err := svc.Submit("GPD_2013_DIMUON_HIGHMASS", "x", "", m)
-		if err != nil {
+		w := postSubmit(t, h, "x", uint64(i), "")
+		if w.Code != http.StatusCreated {
+			t.Fatalf("submit %d: %d %s", i, w.Code, w.Body)
+		}
+		var req Request
+		if err := json.Unmarshal(w.Body.Bytes(), &req); err != nil {
 			t.Fatal(err)
 		}
-		if err := svc.Approve(req.ID); err != nil {
-			t.Fatal(err)
+		r := httptest.NewRequest(http.MethodPost, "/requests/"+req.ID+"/approve", nil)
+		r.Header.Set(roleHeader, roleExperiment)
+		aw := httptest.NewRecorder()
+		h.ServeHTTP(aw, r)
+		if aw.Code != http.StatusOK {
+			t.Fatalf("approve %s: %d %s", req.ID, aw.Code, aw.Body)
 		}
 		ids = append(ids, req.ID)
-		if !q.Enqueue(req.ID) {
-			t.Fatal("enqueue refused")
-		}
 	}
-	errs := q.Wait()
 	for _, id := range ids {
-		if errs[id] != nil {
-			t.Fatalf("request %s failed: %v", id, errs[id])
-		}
-		got, _ := svc.Get(id)
-		if got.Status != StatusDone {
-			t.Fatalf("request %s status %s", id, got.Status)
+		if got := waitTerminal(t, svc, id); got.Status != StatusDone {
+			t.Fatalf("request %s status %s (%s)", id, got.Status, got.Reason)
 		}
 	}
-	if q.Enqueue("late") {
-		t.Fatal("enqueue after Wait accepted")
+	// Close waits for the workers, so their accounting is complete.
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Status(); st.Served != uint64(len(ids)) {
+		t.Fatalf("served = %d, want %d", st.Served, len(ids))
+	}
+	if err := srv.Queue().Enqueue(QueueEntry{ID: "late", Tenant: "x"}); err == nil {
+		t.Fatal("enqueue after Close accepted")
 	}
 }
 

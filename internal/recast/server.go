@@ -22,9 +22,10 @@ import (
 // keyed by (model, chain config), and a breaker-gated back end whose
 // brown-outs degrade intake instead of collapsing it.
 //
-// Two journals make acceptance durable: requests.log (request snapshots,
-// fsynced per line) records what each request *is*, and queue/queue.log
-// records what the scheduler owes. Recovery replays both and reconciles:
+// Two internal/journal logs make acceptance durable: requests.log
+// (request snapshots) records what each request *is*, and
+// queue/queue.log records what the scheduler owes; both fsync every
+// line. Recovery replays both and reconciles:
 // approved requests missing from the queue are re-enqueued, queue
 // entries whose request already finished are closed out. An accepted
 // request — one the client saw a 2xx for — is never lost.
@@ -38,8 +39,6 @@ type Server struct {
 	wg      sync.WaitGroup
 	breaker *resilience.Breaker
 	now     func() time.Time
-
-	reqLog *syncWriter
 
 	mu      sync.Mutex
 	buckets map[string]*resilience.TokenBucket
@@ -90,6 +89,19 @@ type ServerConfig struct {
 	Now func() time.Time
 }
 
+// DefaultQueuePolicy is the per-request retry schedule the front door's
+// workers run under: a few capped, jittered attempts. Only transient
+// failures retry; physics or validation errors dead-letter on the first
+// strike.
+func DefaultQueuePolicy() resilience.Policy {
+	return resilience.Policy{
+		MaxAttempts: 4,
+		BaseDelay:   10 * time.Millisecond,
+		MaxDelay:    500 * time.Millisecond,
+		Jitter:      0.2,
+	}
+}
+
 func (c ServerConfig) withDefaults() ServerConfig {
 	if c.Workers < 1 {
 		c.Workers = 2
@@ -126,29 +138,6 @@ type TenantStatus struct {
 // HTTP hop, as relative milliseconds (clock-skew tolerant).
 const BudgetHeader = "X-Recast-Budget-Ms"
 
-// syncWriter appends to a file with an fsync per write, so the request
-// journal can never lag the queue journal across a crash.
-type syncWriter struct {
-	mu sync.Mutex
-	f  *os.File
-}
-
-func (w *syncWriter) Write(p []byte) (int, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	n, err := w.f.Write(p) //daspos:lock-ok — write-ahead journal: the record must be durable before the next writer interleaves
-	if err != nil {
-		return n, err
-	}
-	return n, w.f.Sync() //daspos:lock-ok — the fsync is the write barrier the journal exists for; convoying here is the contract
-}
-
-func (w *syncWriter) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.f.Close() //daspos:lock-ok — w.mu excludes concurrent Writes while the handle dies
-}
-
 // NewServer builds the front door over a prepared Service (subscriptions
 // registered, no requests yet), recovering both journals from
 // cfg.JournalDir and reconciling them. Start launches the workers.
@@ -161,29 +150,14 @@ func NewServer(ctx context.Context, svc *Service, cfg ServerConfig) (*Server, er
 		return nil, fmt.Errorf("recast: creating journal dir: %w", err)
 	}
 
-	// Recover the request ledger: replay, then reattach as the journal
-	// sink (fsync per line) so new mutations append durably.
-	reqPath := filepath.Join(cfg.JournalDir, "requests.log")
-	if f, err := os.Open(reqPath); err == nil {
-		_, rerr := svc.ReplayJournal(f)
-		f.Close() //daspos:close-ok — read-only replay handle, nothing buffered
-		if rerr != nil {
-			return nil, fmt.Errorf("recast: replaying request journal: %w", rerr)
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("recast: opening request journal: %w", err)
+	// Recover the request ledger first: reconciliation below reads it.
+	if err := svc.openJournal(cfg.JournalDir); err != nil {
+		return nil, err
 	}
-	rf, err := os.OpenFile(reqPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("recast: opening request journal for append: %w", err)
-	}
-	reqLog := &syncWriter{f: rf}
-	svc.SetJournal(reqLog)
-
 	pq, err := OpenPQueue(ctx, filepath.Join(cfg.JournalDir, "queue"),
 		PQueueOptions{Weights: cfg.TenantWeights})
 	if err != nil {
-		reqLog.Close() //daspos:close-ok — error path, the open error wins
+		_ = svc.closeJournal()
 		return nil, err
 	}
 
@@ -193,7 +167,6 @@ func NewServer(ctx context.Context, svc *Service, cfg ServerConfig) (*Server, er
 		ctx: sctx, cancel: cancel,
 		breaker:   resilience.NewBreaker(cfg.Breaker),
 		now:       cfg.Now,
-		reqLog:    reqLog,
 		buckets:   make(map[string]*resilience.TokenBucket),
 		dedupDone: make(map[string]string),
 		tenants:   make(map[string]*TenantStatus),
@@ -213,7 +186,7 @@ func NewServer(ctx context.Context, svc *Service, cfg ServerConfig) (*Server, er
 	}
 	if err := s.reconcile(); err != nil {
 		s.pq.Close()
-		reqLog.Close() //daspos:close-ok — error path, the reconcile error wins
+		_ = svc.closeJournal()
 		cancel()
 		return nil, err
 	}
@@ -293,8 +266,7 @@ func (s *Server) Close() error {
 	s.cancel()
 	s.wg.Wait()
 	err := s.pq.Close()
-	s.svc.SetJournal(nil)
-	if cerr := s.reqLog.Close(); err == nil {
+	if cerr := s.svc.closeJournal(); err == nil {
 		err = cerr
 	}
 	return err
@@ -564,6 +536,9 @@ func shedResponse(w http.ResponseWriter, e *admissionError) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var body submitBody
+	// MaxBytesReader (not a bare LimitReader) closes the connection on
+	// an oversized body, so a tenant cannot stream an unbounded payload
+	// into the decoder and keep the connection serviceable.
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&body); err != nil {
 		httpError(w, http.StatusBadRequest, "malformed request body: "+err.Error())
 		return
@@ -728,7 +703,7 @@ func (s *Server) Status() ServerStatus {
 		st.Tenants[name] = *s.tenants[name]
 	}
 	s.mu.Unlock()
-	if s.svc.JournalErr() != nil {
+	if s.svc.journalErr() != nil {
 		st.JournalOK = false
 	}
 	return st
